@@ -5,8 +5,8 @@
 use crate::checks::{self, Tally};
 use crate::client::Client;
 use crate::data::{self, repeated_setup, report_stage_times, Data};
-use crate::serve::{distinct, json_str, load_model, report_diffuse, serve_config};
-use crate::{obs, stats, Report};
+use crate::serve::{distinct, json_str, load_model, serve_config};
+use crate::{log_figure, obs, probe, stats, Report};
 use fd_core::TrainedFakeDetector;
 use fd_graph::{GraphOverlay, NodeType};
 use fd_serve::{IngestArticle, IngestBatch, IngestCreator, IngestReport, ServeModel, Server};
@@ -21,9 +21,14 @@ use std::time::{Duration, Instant};
 /// Ingests per stream. Fixed, so the cost of the growing overlay is the
 /// same in every run.
 const STREAM: usize = 500;
-/// Streams per run, each on a fresh server over the same loaded model
-/// and each with its own payloads; latencies are pooled over them.
-const PASSES: usize = 2;
+/// Fewest streams per run (per half of a traced run), each on a fresh
+/// server over the same loaded model and each with its own payloads;
+/// latencies are pooled over them.
+const MIN_PASSES: usize = 2;
+/// Nominal stream length on a 2-core machine, used only to turn
+/// `--seconds` into a fixed stream count, so every run of one length
+/// does the same work and holds the same memory.
+const NOMINAL_STREAM_S: f64 = 7.5;
 /// Every `NEW_CREATOR_EVERY`-th ingest also attaches a new creator,
 /// who authors that article.
 const NEW_CREATOR_EVERY: usize = 10;
@@ -105,7 +110,7 @@ fn payload_json(batch: &IngestBatch) -> String {
 }
 
 /// The payloads of stream `pass`.
-fn stream(seed: u64, pass: usize, data: &Data) -> Vec<IngestBatch> {
+pub fn stream(seed: u64, pass: usize, data: &Data) -> Vec<IngestBatch> {
     let mut creators = data.counts()[1];
     let seed = seed ^ 0x1a9e ^ ((pass as u64) << 32);
     (0..STREAM)
@@ -132,6 +137,8 @@ struct Read {
 }
 
 struct StreamRun {
+    /// The stream's number within the run, as in its request ids.
+    pass: usize,
     ingests: Vec<Ingested>,
     reads: Vec<Read>,
     failures: Tally,
@@ -246,6 +253,7 @@ fn run_stream(
     drop(client);
     server.shutdown();
     StreamRun {
+        pass,
         ingests,
         reads,
         failures,
@@ -346,9 +354,10 @@ fn check_run(run: &StreamRun, reference: &HashMap<(usize, usize), Vec<f32>>, tal
     }
 }
 
-/// Runs the workload. It takes no run length: the stream length is
-/// fixed (see [`STREAM`]).
-pub fn run(seed: u64, traced: bool) -> Report {
+/// Runs the workload: `max(MIN_PASSES, ceil(seconds / NOMINAL_STREAM_S))`
+/// whole streams, each on a fresh server. A traced run streams half
+/// that time untraced, for the overhead figure, then half traced.
+pub fn run(seed: u64, seconds: u64, traced: bool) -> Report {
     let ((data, base, model_json), setup_s, stage_times) = repeated_setup(
         seed,
         |data| {
@@ -363,31 +372,37 @@ pub fn run(seed: u64, traced: bool) -> Report {
         },
         drop,
     );
-    let payloads: Vec<Vec<IngestBatch>> =
-        (0..PASSES).map(|pass| stream(seed, pass, &data)).collect();
-    let streams = |traced_now: bool| -> Vec<StreamRun> {
+    // Stream `pass` has the same payloads in both halves of a traced run.
+    let streams = |traced_now: bool, seconds: f64| -> Vec<(StreamRun, Vec<IngestBatch>)> {
         fd_obs::trace::set_enabled(traced_now);
-        payloads
-            .iter()
-            .enumerate()
-            .map(|(pass, p)| run_stream(seed, pass, &data, &base, p))
+        let count = ((seconds / NOMINAL_STREAM_S).ceil() as usize).max(MIN_PASSES);
+        (0..count)
+            .map(|pass| {
+                let payloads = stream(seed, pass, &data);
+                (run_stream(seed, pass, &data, &base, &payloads), payloads)
+            })
             .collect()
     };
     let mut report = Report::default();
+    let seconds = seconds as f64;
 
     // A traced run first streams untraced, for the overhead figure.
-    let untraced = traced.then(|| streams(false));
+    let untraced = traced.then(|| streams(false, seconds / 2.0));
     let collector = traced.then(obs::SpanCollector::start);
-    let runs = streams(traced);
+    let faults = data::minor_faults();
+    let runs = streams(traced, if traced { seconds / 2.0 } else { seconds });
+    let minor_faults = data::minor_faults() - faults;
     let spans = collector
         .map(obs::SpanCollector::finish)
         .unwrap_or_default();
     let peak_rss_mb = data::peak_rss_mb();
+    eprintln!("streams of {STREAM} ingests: {}", runs.len());
 
     let trained = TrainedFakeDetector::from_json(&model_json).expect("weights parse");
-    for (run, p) in runs.iter().zip(&payloads) {
+    for (run, p) in &runs {
         check_run(run, &full_recompute(&data, &trained, p), &mut report.tally);
     }
+    let runs: Vec<StreamRun> = runs.into_iter().map(|(run, _)| run).collect();
 
     let ingest_ms = |runs: &[StreamRun]| -> Vec<f64> {
         runs.iter()
@@ -395,19 +410,27 @@ pub fn run(seed: u64, traced: bool) -> Report {
             .collect()
     };
     let all_ingest_ms = ingest_ms(&runs);
+    stats::log_latencies("ingest ms", &all_ingest_ms);
     if !traced {
         let read_ms: Vec<f64> = runs
             .iter()
             .flat_map(|r| r.reads.iter().map(|r| r.ms))
             .collect();
-        stats::log_latencies("ingest ms", &all_ingest_ms);
         report.metric("setup_s", stats::median(&setup_s), "s");
         report.metric("peak_rss_mb", Some(peak_rss_mb), "MiB");
-        report.metric("read_p50_ms", stats::median(&read_ms), "ms");
+        report.metric("op_p50_ms", stats::median(&read_ms), "ms");
         return report;
     }
 
     report_stage_times(&stage_times, &mut report);
+    report.metric(
+        "mem.minor_faults",
+        Some(minor_faults as f64 / all_ingest_ms.len() as f64),
+        "count",
+    );
+    // The figures of the HTTP ingests themselves, which only this
+    // workload has; the per-layer metrics of the ingest path come from
+    // the probe's `ServeModel::ingest` calls.
     let reports: Vec<&IngestReport> = runs
         .iter()
         .flat_map(|r| r.ingests.iter().filter_map(|i| i.report.as_ref()))
@@ -415,18 +438,18 @@ pub fn run(seed: u64, traced: bool) -> Report {
     let field = |f: fn(&IngestReport) -> f64| {
         stats::median(&reports.iter().map(|r| f(r)).collect::<Vec<_>>())
     };
-    report.metric(
-        "ingest.attach_ms",
+    log_figure(
+        "ingest.attach_ms over HTTP",
         field(|r| r.attach_us as f64 / 1e3),
         "ms",
     );
-    report.metric(
-        "ingest.diffuse_ms",
+    log_figure(
+        "ingest.diffuse_ms over HTTP",
         field(|r| r.diffuse_us as f64 / 1e3),
         "ms",
     );
-    report.metric(
-        "ingest.affected_base_nodes",
+    log_figure(
+        "ingest.affected_base_nodes over HTTP",
         field(|r| r.affected_base_nodes as f64),
         "count",
     );
@@ -439,13 +462,13 @@ pub fn run(seed: u64, traced: bool) -> Report {
                 .map(|r| i.ms - (r.attach_us + r.diffuse_us) as f64 / 1e3)
         })
         .collect();
-    report.metric("ingest.http_ms", stats::median(&http_ms), "ms");
+    log_figure("ingest.http_ms", stats::median(&http_ms), "ms");
     let growth: Option<Vec<f64>> = runs
         .iter()
         .map(|r| stats::growth_ratio(&ingest_ms(std::slice::from_ref(r)), GROWTH_WINDOW))
         .collect();
-    report.metric(
-        "ingest.growth_ratio",
+    log_figure(
+        "ingest.growth_ratio over HTTP",
         growth.and_then(|g| stats::mean(&g)),
         "ratio",
     );
@@ -460,10 +483,10 @@ pub fn run(seed: u64, traced: bool) -> Report {
         *span_us.entry(s.trace_id).or_default() += s.dur_us as f64;
     }
     let (mut wall_us, mut covered_us) = (0.0, 0.0);
-    for (pass, run) in runs.iter().enumerate() {
+    for run in &runs {
         for (i, ingest) in run.ingests.iter().enumerate() {
             if let Some(r) = &ingest.report {
-                let id = obs::trace_id_of(&format!("ingest{pass}.{i}"));
+                let id = obs::trace_id_of(&format!("ingest{}.{i}", run.pass));
                 wall_us += ingest.ms * 1e3;
                 covered_us +=
                     (r.attach_us + r.diffuse_us) as f64 + span_us.get(&id).copied().unwrap_or(0.0);
@@ -476,41 +499,16 @@ pub fn run(seed: u64, traced: bool) -> Report {
         "ratio",
     );
     if let (Some(off), Some(on)) = (
-        untraced.and_then(|u| stats::median(&ingest_ms(&u))),
+        untraced.and_then(|u| {
+            let u: Vec<StreamRun> = u.into_iter().map(|(run, _)| run).collect();
+            stats::median(&ingest_ms(&u))
+        }),
         stats::median(&all_ingest_ms),
     ) {
         report.metric("trace.overhead_pct", Some(100.0 * (on - off) / off), "%");
     }
 
-    score_node_on_grown_model(seed, &base, &payloads[0], &mut report);
-    report_diffuse(&data, &trained, &mut report);
+    drop((runs, base));
+    probe::run(&data, &mut report);
     report
-}
-
-/// `core.score_node_us`: `ServeModel::score_node` on a model grown by
-/// the same stream through `ServeModel::ingest`, over base and
-/// ingested articles.
-fn score_node_on_grown_model(
-    seed: u64,
-    base: &Arc<ServeModel>,
-    payloads: &[IngestBatch],
-    report: &mut Report,
-) {
-    let mut model: Option<ServeModel> = None;
-    for batch in payloads {
-        let current = model.as_ref().unwrap_or(base);
-        model = Some(current.ingest(batch).expect("replayed ingest").0);
-    }
-    let model = model.expect("a non-empty stream");
-    let articles = model.corpus_sizes().0;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5c0d);
-    let samples: Vec<f64> = (0..2000)
-        .map(|_| {
-            let id = rng.gen_range(0..articles);
-            let start = Instant::now();
-            std::hint::black_box(model.score_node(NodeType::Article, id).expect("scores"));
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    report.metric("core.score_node_us", stats::median(&samples), "us");
 }

@@ -9,7 +9,7 @@ use crate::data::{
     self, repeated_setup, report_stage_times, Data, EXPLICIT_DIM, MAX_VOCAB, SEQ_LEN,
 };
 use crate::obs::{self, Snapshot, SpanCollector};
-use crate::{kernels, stats, Report};
+use crate::{log_figure, probe, stats, Report};
 use fd_core::{FakeDetector, FakeDetectorConfig, ScoreRequest, TrainedFakeDetector};
 use fd_graph::NodeType;
 use fd_router::{Router, RouterConfig, Topology};
@@ -68,19 +68,6 @@ pub fn serve_config(shard: Option<(usize, usize)>) -> ServeConfig {
     }
 }
 
-/// `core.diffuse_ms`: the full-corpus diffusion a model load pays.
-pub fn report_diffuse(data: &Data, trained: &TrainedFakeDetector, report: &mut Report) {
-    let ctx = data.ctx();
-    let samples: Vec<f64> = (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(trained.diffused_states_rounds(&ctx));
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    report.metric("core.diffuse_ms", stats::median(&samples), "ms");
-}
-
 /// JSON text of a string.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -116,7 +103,7 @@ enum Op {
 
 /// An inductive article request: a corpus article's text under a
 /// random creator and one to three distinct subjects.
-fn inductive(rng: &mut StdRng, data: &Data) -> ScoreRequest {
+pub fn inductive(rng: &mut StdRng, data: &Data) -> ScoreRequest {
     let [articles, creators, subjects] = data.counts();
     let text = data.corpus.articles[rng.gen_range(0..articles)]
         .text
@@ -357,15 +344,14 @@ fn is_single(s: &Sent) -> bool {
 }
 
 pub fn run(seed: u64, seconds: u64, traced: bool) -> Report {
-    let ((data, model, model_json, tier), setup_s, stage_times) = repeated_setup(
+    let ((data, model, tier), setup_s, stage_times) = repeated_setup(
         seed,
         |data| {
-            let (model, json) = load_model(&data);
-            let model = Arc::new(model);
+            let model = Arc::new(load_model(&data).0);
             let tier = Tier::start(&model);
-            (data, model, json, tier)
+            (data, model, tier)
         },
-        |(_, _, _, tier)| tier.shutdown(),
+        |(_, _, tier)| tier.shutdown(),
     );
     let mut clients = [tier.router.local_addr(), tier.direct.local_addr()]
         .map(|addr| Client::connect(&addr.to_string()).expect("connect to the tier"));
@@ -391,11 +377,11 @@ pub fn run(seed: u64, seconds: u64, traced: bool) -> Report {
         let direct_single = latencies(&sent, false, |s| is_single(s).then_some(s.direct.1));
         let routed_batch = latencies(&sent, false, |s| (!is_single(s)).then_some(s.routed.1));
         stats::log_latencies("routed single predict ms", &routed_single);
+        stats::log_latencies("direct single predict ms", &direct_single);
         stats::log_latencies("routed 64-item batch ms", &routed_batch);
         report.metric("setup_s", stats::median(&setup_s), "s");
         report.metric("peak_rss_mb", Some(peak_rss_mb), "MiB");
-        report.metric("predict_p50_ms", stats::median(&routed_single), "ms");
-        report.metric("direct_predict_p50_ms", stats::median(&direct_single), "ms");
+        report.metric("op_p50_ms", stats::median(&routed_single), "ms");
         return report;
     }
 
@@ -407,6 +393,7 @@ pub fn run(seed: u64, seconds: u64, traced: bool) -> Report {
     fd_obs::trace::set_enabled(true);
     let collector = SpanCollector::start();
     let before = Snapshot::take();
+    let (faults, traced_from) = (data::minor_faults(), sent.len());
     drive(
         seed,
         &data,
@@ -415,6 +402,7 @@ pub fn run(seed: u64, seconds: u64, traced: bool) -> Report {
         half + measure / 2,
         &mut sent,
     );
+    let minor_faults = data::minor_faults() - faults;
     let after = Snapshot::take();
     let spans = collector.finish();
     drop(clients);
@@ -422,23 +410,31 @@ pub fn run(seed: u64, seconds: u64, traced: bool) -> Report {
     check_sent(&sent, &model, &mut report.tally);
 
     report_stage_times(&stage_times, &mut report);
-    let mean_of = |name: &str| after.hist(name).since(before.hist(name)).mean();
+    // Faults per HTTP request, routed and direct.
+    let traced_requests = 2 * (sent.len() - traced_from);
     report.metric(
+        "mem.minor_faults",
+        Some(minor_faults as f64 / traced_requests as f64),
+        "count",
+    );
+    // The tier's own instruments, which only this workload has.
+    let mean_of = |name: &str| after.hist(name).since(before.hist(name)).mean();
+    log_figure(
         "serve.queue_wait_ms",
         mean_of("serve.queue_wait_us").map(|v| v / 1e3),
         "ms",
     );
-    report.metric(
+    log_figure(
         "serve.batch_score_ms",
         mean_of("serve.batch_score_us").map(|v| v / 1e3),
         "ms",
     );
-    report.metric(
+    log_figure(
         "serve.batch_size_mean",
         mean_of("serve.batch_size"),
         "count",
     );
-    report.metric(
+    log_figure(
         "router.attempt_ms",
         mean_of("router.attempt_us").map(|v| v / 1e3),
         "ms",
@@ -448,7 +444,7 @@ pub fn run(seed: u64, seconds: u64, traced: bool) -> Report {
         .filter(|s| s.name == "http.parse")
         .map(|s| s.dur_us as f64)
         .collect();
-    report.metric("serve.parse_us", stats::mean(&parse), "us");
+    log_figure("serve.parse_us", stats::mean(&parse), "us");
 
     // Upstream calls the routed requests needed: one per single, one
     // per chunk of a batch (the router splits a batch into one
@@ -468,14 +464,14 @@ pub fn run(seed: u64, seconds: u64, traced: bool) -> Report {
             after.counter(&name) - before.counter(&name)
         })
         .sum();
-    report.metric(
+    log_figure(
         "router.attempts_per_request",
         Some(attempts / needed as f64),
         "ratio",
     );
     let routed_single = latencies(&sent, true, |s| is_single(s).then_some(s.routed.1));
     let direct_single = latencies(&sent, true, |s| is_single(s).then_some(s.direct.1));
-    report.metric(
+    log_figure(
         "router.hop_ms",
         stats::hop_ms(&routed_single, &direct_single),
         "ms",
@@ -509,29 +505,7 @@ pub fn run(seed: u64, seconds: u64, traced: bool) -> Report {
         report.metric("trace.overhead_pct", Some(100.0 * (on - off) / off), "%");
     }
 
-    score_from_outside(seed, &data, &model, &mut report);
-    let trained = TrainedFakeDetector::from_json(&model_json).expect("weights parse");
-    report_diffuse(&data, &trained, &mut report);
-    kernels::tensor(&data, &mut report);
+    drop(model);
+    probe::run(&data, &mut report);
     report
-}
-
-/// `core.score1_us` and `core.score64_ms`: `ServeModel::score` called
-/// directly on one request and on 64.
-fn score_from_outside(seed: u64, data: &Data, model: &ServeModel, report: &mut Report) {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5c0e);
-    let requests: Vec<ScoreRequest> = (0..BATCH_ITEMS)
-        .map(|_| inductive(&mut rng, data))
-        .collect();
-    let time = |batch: &[ScoreRequest]| {
-        let start = Instant::now();
-        std::hint::black_box(model.score(batch).expect("scores"));
-        start.elapsed().as_secs_f64()
-    };
-    let singles: Vec<f64> = (0..400)
-        .map(|i| time(&requests[i % BATCH_ITEMS..][..1]) * 1e6)
-        .collect();
-    report.metric("core.score1_us", stats::median(&singles), "us");
-    let batches: Vec<f64> = (0..40).map(|_| time(&requests) * 1e3).collect();
-    report.metric("core.score64_ms", stats::median(&batches), "ms");
 }

@@ -34,8 +34,9 @@ pub fn tail(samples: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Logs a latency sample's size, median and tails to stderr, for
-/// figures that are not reported as metrics because they do not repeat
-/// between runs on a shared 2-core machine (see the README).
+/// figures that are not metrics: they do not repeat between runs on a
+/// shared 2-core machine, or only one workload has them (see the
+/// README).
 pub fn log_latencies(what: &str, samples: &[f64]) {
     eprintln!(
         "{what}: n {}, p50 {:?}, p90 {:?}, p99 {:?}",
